@@ -26,12 +26,21 @@ latency (Sec. 3's ~100 ms-per-gesture budget):
 * **Cached numeric edges** — per-column min/max and equal-width bin edges
   are computed once per dataset and reused, keeping binned histograms of
   filtered views comparable and cheap.
+* **Code-bitmap index** — each :class:`Column` (so each dataset or view)
+  lazily builds, on its first histogram, a read-only ``(K, ceil(n/64))``
+  ``uint64`` index: bit *r* of row *k* is set when row *r* has code *k*
+  (a category code, or a bin number under given edges).  A histogram
+  cell is then a popcount of that row ANDed with the packed filter mask,
+  so the show path never gathers the filtered rows.  Like the other
+  caches it is never invalidated: codes are immutable and a new view is
+  a new column.  Columns with more than :data:`MAX_BITMAP_CODES` codes
+  have no index (it would cost more than 8 bytes a row).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +53,17 @@ from repro.exploration.engine import (
 )
 from repro.rng import SeedLike, as_generator
 
-__all__ = ["ColumnType", "Column", "Dataset"]
+__all__ = ["ColumnType", "Column", "Dataset", "MAX_BITMAP_CODES", "pack_mask"]
+
+#: Codes above which a column gets no bitmap index: one bit per code and
+#: row, so past 64 codes the index would outgrow an int64 column.
+MAX_BITMAP_CODES = 64
+#: Rows packed per step of an index build; a multiple of 64, so every step
+#: starts on a word boundary and its temporary stays at most 4 MB.
+_BITMAP_CHUNK_ROWS = 1 << 16
+#: Bin-edge arrays whose index one numeric column keeps; bounded because a
+#: client picks ``bins`` per show, and each count is another index.
+_MAX_EDGE_INDEXES = 8
 
 
 class ColumnType(enum.Enum):
@@ -151,6 +170,45 @@ def _encode_categorical(
     return categories, codes.astype(np.int32, copy=False)
 
 
+def _bin_membership(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``(bins, len(values))`` booleans: is value *r* in bin *k*?
+
+    The same cells as ``np.histogram``: bins are half-open except the
+    last, which is closed; out-of-range values and NaN are in no bin.
+    """
+    at_or_above = values >= edges[:, None]
+    member = at_or_above[:-1] & ~at_or_above[1:]
+    member[-1] = at_or_above[-2] & (values <= edges[-1])
+    return member
+
+
+def _pack_code_bitmaps(
+    member_of: Callable[[slice], np.ndarray], n_rows: int, n_codes: int
+) -> np.ndarray:
+    """Read-only ``(n_codes, ceil(n_rows / 64))`` uint64 code bitmaps.
+
+    ``member_of(rows)`` returns the ``(n_codes, rows)`` booleans "row has
+    code *k*" of a slice of rows.  Bits are packed little-endian, as
+    :func:`pack_mask` packs a filter mask.
+    """
+    packed = np.zeros((n_codes, -(-n_rows // 64) * 8), dtype=np.uint8)
+    for start in range(0, n_rows, _BITMAP_CHUNK_ROWS):
+        rows = slice(start, min(start + _BITMAP_CHUNK_ROWS, n_rows))
+        bits = np.packbits(member_of(rows), axis=1, bitorder="little")
+        packed[:, start // 8 : start // 8 + bits.shape[1]] = bits
+    bitmaps = packed.view(np.uint64)
+    bitmaps.setflags(write=False)
+    return bitmaps
+
+
+def pack_mask(mask: np.ndarray) -> np.ndarray:
+    """Boolean row mask packed into uint64 words, laid out like a bitmap row."""
+    packed = np.zeros(-(-mask.size // 64) * 8, dtype=np.uint8)
+    bits = np.packbits(mask, bitorder="little")
+    packed[: bits.size] = bits
+    return packed.view(np.uint64)
+
+
 class Column:
     """One named, typed column *as seen through a dataset or view*.
 
@@ -161,10 +219,14 @@ class Column:
 
     ``codes`` (categorical) and ``values`` materialize lazily on first
     access and are cached per view; for the base dataset they are the
-    shared physical arrays, never a copy.
+    shared physical arrays, never a copy.  So does the code-bitmap index
+    of :meth:`code_bitmaps`.
     """
 
-    __slots__ = ("name", "ctype", "categories", "_store", "_row_index", "_codes", "_values")
+    __slots__ = (
+        "name", "ctype", "categories", "_store", "_row_index", "_codes", "_values",
+        "_bitmaps",
+    )
 
     def __init__(self, store: _ColumnStore, row_index: np.ndarray | None = None) -> None:
         self.name = store.name
@@ -174,6 +236,7 @@ class Column:
         self._row_index = row_index
         self._codes: np.ndarray | None = None
         self._values: np.ndarray | None = None
+        self._bitmaps: dict[bytes | None, np.ndarray] = {}
 
     @property
     def codes(self) -> np.ndarray:
@@ -209,6 +272,42 @@ class Column:
     def code_of(self, value) -> int | None:
         """Integer code of *value* in this column's universe (or ``None``)."""
         return self._store.code_of(value)
+
+    def code_bitmaps(self, edges: np.ndarray | None = None) -> np.ndarray | None:
+        """Code-bitmap index of this column, or ``None`` past 64 codes.
+
+        A read-only ``(K, ceil(n/64))`` uint64 array whose bit *r* of row
+        *k* is set when row *r* has code *k*.  A categorical column's codes
+        are its category codes; a numeric column's are its bin numbers
+        under *edges* (out-of-range and NaN rows set no bit).  Built on
+        first use and kept per *edges*; a race between threads only
+        builds the same frozen array twice.
+        """
+        if self.ctype is ColumnType.CATEGORICAL:
+            key, n_codes = None, len(self.categories)
+        else:
+            key, n_codes = edges.tobytes(), edges.size - 1
+        if n_codes > MAX_BITMAP_CODES:
+            return None
+        bitmaps = self._bitmaps.get(key)
+        if bitmaps is None:
+            if key is None:
+                codes, universe = self.codes, np.arange(n_codes)[:, None]
+                bitmaps = _pack_code_bitmaps(
+                    lambda rows: codes[rows] == universe, len(self), n_codes
+                )
+            else:
+                values = self.values
+                bitmaps = _pack_code_bitmaps(
+                    lambda rows: _bin_membership(values[rows], edges), len(self), n_codes
+                )
+            # Publish by replacing the dict, so readers never see it mid-edit.
+            index = dict(self._bitmaps)
+            index[key] = bitmaps
+            while len(index) > _MAX_EDGE_INDEXES:
+                del index[next(iter(index))]
+            self._bitmaps = index
+        return bitmaps
 
     def __len__(self) -> int:
         if self._row_index is not None:

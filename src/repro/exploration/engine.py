@@ -9,6 +9,12 @@ unfiltered reference distributions.  All of those are pure functions of
 * every :class:`~repro.exploration.dataset.Dataset` carries a bounded LRU
   **mask cache** (predicate → boolean row mask) and **histogram cache**
   (structural key → :class:`~repro.exploration.histogram.Histogram`);
+* every :class:`~repro.exploration.dataset.Column` of a dataset lazily
+  builds a read-only **code-bitmap index** (one packed bitmap per category,
+  or per bin under given edges) on its first histogram; a histogram miss
+  is then a popcount of those bitmaps ANDed with the packed mask, not a
+  gather of the filtered rows.  Publishing it needs no lock: the build is
+  idempotent, so a race only builds the same frozen array twice;
 * cache entries never need invalidation: column codes are immutable and
   the caches live on the dataset object itself, so a new view or permuted
   copy starts with empty caches and a stale hit is impossible (the

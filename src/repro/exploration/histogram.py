@@ -8,9 +8,14 @@ properties matter for correctness of the derived hypothesis tests:
 * numeric attributes are binned with edges computed once on the *full*
   dataset, so a filter cannot shift the binning.
 
-Aggregation is pushed down onto the column store: categorical histograms
-are one ``np.bincount`` over the dictionary codes (optionally gathered
-through the predicate's memoized mask), and results are memoized on the
+Aggregation is pushed down onto the column store.  Both histogram kinds
+share one counting kernel over the column's code-bitmap index
+(:meth:`~repro.exploration.dataset.Column.code_bitmaps`; a code is a
+category or a bin): the predicate's memoized mask is packed into 64-bit
+words, ANDed with each code's bitmap and popcounted, so the filtered rows
+are never gathered.  A column with more than 64 codes has no index and
+counts the gathered rows with ``np.bincount`` / ``np.histogram``, the
+reference the index is tested against.  Results are memoized on the
 dataset's histogram cache — a session re-showing a panel, or rule 2
 re-deriving the unfiltered reference distribution, pays nothing.
 """
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import InsufficientDataError, InvalidParameterError
-from repro.exploration.dataset import ColumnType, Dataset
+from repro.exploration.dataset import Column, ColumnType, Dataset, pack_mask
 from repro.exploration.engine import cached_histogram
 from repro.exploration.predicate import Predicate, TRUE
 
@@ -78,6 +83,35 @@ class Histogram:
         return "\n".join(lines)
 
 
+def _cell_counts(
+    dataset: Dataset, predicate: Predicate, col: Column, edges: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows per code of *col* (category, or bin under *edges*) *predicate* keeps."""
+    mask = None if predicate.is_trivial() else predicate.mask(dataset)
+    bitmaps = col.code_bitmaps(edges)
+    if bitmaps is None:
+        return gathered_cell_counts(col, mask, edges)
+    if mask is not None:
+        bitmaps = bitmaps & pack_mask(mask)
+    return np.bitwise_count(bitmaps).sum(axis=1)
+
+
+def gathered_cell_counts(
+    col: Column, mask: np.ndarray | None, edges: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows per code that *mask* keeps (all rows for ``None``), gathered.
+
+    The path for columns with more than 64 codes, and the reference the
+    code-bitmap index is tested against.
+    """
+    if edges is None:
+        codes = col.codes if mask is None else col.codes[mask]
+        return np.bincount(codes, minlength=len(col.categories))
+    values = col.values if mask is None else col.values[mask]
+    counts, _ = np.histogram(values, bins=edges)
+    return counts
+
+
 def categorical_histogram(
     dataset: Dataset,
     attribute: str,
@@ -95,10 +129,7 @@ def categorical_histogram(
         )
 
     def build() -> Histogram:
-        codes = col.codes
-        if not predicate.is_trivial():
-            codes = codes[predicate.mask(dataset)]
-        counts = np.bincount(codes, minlength=len(col.categories))
+        counts = _cell_counts(dataset, predicate, col)
         return Histogram(
             attribute=attribute,
             labels=tuple(col.categories),
@@ -126,12 +157,11 @@ def numeric_histogram(
     edges = np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or edges.size < 3:
         raise InvalidParameterError("need at least 2 bins (3 edges)")
+    if np.any(edges[:-1] > edges[1:]):
+        raise InvalidParameterError("bin edges must increase monotonically")
 
     def build() -> Histogram:
-        values = col.values
-        if not predicate.is_trivial():
-            values = values[predicate.mask(dataset)]
-        counts, _ = np.histogram(values, bins=edges)
+        counts = _cell_counts(dataset, predicate, col, edges)
         labels = tuple(
             f"[{edges[i]:g}, {edges[i + 1]:g})" for i in range(edges.size - 1)
         )

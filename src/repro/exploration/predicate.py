@@ -258,6 +258,21 @@ def _flatten(cls, operands) -> tuple:
     return tuple(sorted(set(flat), key=lambda p: p.describe()))
 
 
+def _combine(ufunc: np.ufunc, masks: list[np.ndarray]) -> np.ndarray:
+    """Fold operand masks into one fresh mask, pairwise and in place.
+
+    ``ufunc.reduce`` over a list would first copy every operand into a 2-D
+    array; operand masks are cached and read-only, so only the first pair
+    allocates.
+    """
+    if len(masks) == 1:
+        return masks[0].copy()
+    out = ufunc(masks[0], masks[1])
+    for mask in masks[2:]:
+        ufunc(out, mask, out=out)
+    return out
+
+
 @dataclass(frozen=True)
 class And(Predicate):
     """Conjunction of filters — a visualization chain's accumulated filter."""
@@ -270,10 +285,7 @@ class And(Predicate):
     def _compute_mask(self, dataset: Dataset) -> np.ndarray:
         if not self.operands:
             return np.ones(dataset.n_rows, dtype=bool)
-        masks = [op.mask(dataset) for op in self.operands]
-        if len(masks) == 1:
-            return masks[0].copy()
-        return np.logical_and.reduce(masks)
+        return _combine(np.logical_and, [op.mask(dataset) for op in self.operands])
 
     def describe(self) -> str:
         if not self.operands:
@@ -307,10 +319,7 @@ class Or(Predicate):
     def _compute_mask(self, dataset: Dataset) -> np.ndarray:
         if not self.operands:
             return np.zeros(dataset.n_rows, dtype=bool)
-        masks = [op.mask(dataset) for op in self.operands]
-        if len(masks) == 1:
-            return masks[0].copy()
-        return np.logical_or.reduce(masks)
+        return _combine(np.logical_or, [op.mask(dataset) for op in self.operands])
 
     def describe(self) -> str:
         if not self.operands:

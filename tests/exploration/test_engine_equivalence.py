@@ -3,11 +3,16 @@ naive per-row reference evaluator.
 
 Random datasets × random predicate trees must produce exactly equal masks,
 histograms and chi-square p-values whether evaluated through the columnar
-engine (codes, memoized masks, bincount) or through a pure-Python row-by-row
-reference that never touches codes or caches.  Plus: cache-invalidation
-semantics — views, views of views, and permuted datasets each carry a fresh
-generation token and their own caches.
+engine (codes, memoized masks, popcounts over each column's code-bitmap
+index, or the gather path of a column past 64 codes) or through a
+pure-Python row-by-row reference that never touches codes or caches.
+Tables run to 200 rows, so masks cross 64-bit word boundaries, and hold
+NaN and exact-bin-edge values.  Plus: cache-invalidation semantics —
+views, views of views, and permuted datasets each carry a fresh generation
+token and their own caches — and concurrent index builds.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -16,39 +21,62 @@ from hypothesis import strategies as st
 
 from repro.errors import InsufficientDataError
 from repro.exploration.dataset import Dataset
-from repro.exploration.histogram import categorical_histogram, numeric_histogram
+from repro.exploration.engine import ensure_thread_safe_caches
+from repro.exploration.histogram import (
+    categorical_histogram,
+    gathered_cell_counts,
+    numeric_histogram,
+)
 from repro.exploration.predicate import TRUE, And, Eq, In, Not, Or, Range
 from repro.stats.tests import chi_square_gof
 
 COLORS = ("red", "blue", "green", "yellow")
+#: More categories than a code-bitmap index takes: histograms of ``tag``
+#: count the gathered rows.
+TAGS = tuple(f"t{i:02d}" for i in range(70))
+UNIFORM_EDGES = np.linspace(-50.0, 51.0, 11)
 
 
 @st.composite
 def raw_tables(draw):
     """Raw column lists; the dataset is built inside each test."""
-    n = draw(st.integers(min_value=1, max_value=50))
+    n = draw(st.integers(min_value=1, max_value=200))
     colors = draw(st.lists(st.sampled_from(COLORS), min_size=n, max_size=n))
-    values = draw(
-        st.lists(
-            st.floats(min_value=-50, max_value=50, allow_nan=False),
-            min_size=n,
-            max_size=n,
-        )
+    tags = draw(st.lists(st.sampled_from(TAGS), min_size=n, max_size=n))
+    value = st.one_of(
+        st.floats(min_value=-50, max_value=50, allow_nan=False),
+        st.integers(min_value=-60, max_value=60).map(float),  # edges of drawn bins
+        st.sampled_from([float(e) for e in UNIFORM_EDGES]),
+        st.just(float("nan")),
     )
-    return {"color": colors, "value": values}
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    return {"color": colors, "tag": tags, "value": values}
+
+
+@st.composite
+def bin_edges(draw):
+    """Uniform edges, or non-uniform integer edges with 2 to 70 bins."""
+    if draw(st.booleans()):
+        return UNIFORM_EDGES
+    points = draw(
+        st.lists(st.integers(min_value=-60, max_value=60), min_size=3, max_size=71,
+                 unique=True)
+    )
+    return np.asarray(sorted(points), dtype=float)
 
 
 @st.composite
 def predicates(draw, depth=2):
     if depth == 0:
         choice = draw(st.integers(0, 2))
+        column, universe = draw(st.sampled_from([("color", COLORS), ("tag", TAGS)]))
         if choice == 0:
-            return Eq("color", draw(st.sampled_from(COLORS)))
+            return Eq(column, draw(st.sampled_from(universe)))
         if choice == 1:
             subset = draw(
-                st.lists(st.sampled_from(COLORS), min_size=1, max_size=3, unique=True)
+                st.lists(st.sampled_from(universe), min_size=1, max_size=3, unique=True)
             )
-            return In("color", subset)
+            return In(column, subset)
         lo = draw(st.floats(min_value=-50, max_value=49, allow_nan=False))
         hi = draw(st.floats(min_value=lo + 0.001, max_value=51, allow_nan=False))
         return Range("value", lo, hi)
@@ -64,8 +92,8 @@ def predicates(draw, depth=2):
 def make_dataset(table):
     return Dataset(
         table,
-        categorical=["color"],
-        category_universe={"color": COLORS},
+        categorical=["color", "tag"],
+        category_universe={"color": COLORS, "tag": TAGS},
     )
 
 
@@ -89,9 +117,7 @@ def naive_matches(pred, row) -> bool:
 
 
 def naive_mask(pred, table) -> np.ndarray:
-    rows = [
-        {"color": c, "value": v} for c, v in zip(table["color"], table["value"])
-    ]
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
     return np.array([naive_matches(pred, row) for row in rows], dtype=bool)
 
 
@@ -109,8 +135,8 @@ class TestMaskEquivalence:
         keep = naive_mask(Range("value", -50, 0.001), table)
         view = ds.select(keep)
         sub_table = {
-            "color": [c for c, k in zip(table["color"], keep) if k],
-            "value": [v for v, k in zip(table["value"], keep) if k],
+            name: [v for v, k in zip(column, keep) if k]
+            for name, column in table.items()
         }
         np.testing.assert_array_equal(p.mask(view), naive_mask(p, sub_table))
 
@@ -130,25 +156,27 @@ class TestHistogramEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_categorical_histogram_equals_naive_counts(self, table, p):
         ds = make_dataset(table)
-        hist = categorical_histogram(ds, "color", p)
         mask = naive_mask(p, table)
-        expected = {c: 0 for c in COLORS}
-        for color, keep in zip(table["color"], mask):
-            if keep:
-                expected[color] += 1
-        assert hist.labels == COLORS
-        assert hist.as_dict() == expected
+        for column, universe in (("color", COLORS), ("tag", TAGS)):
+            hist = categorical_histogram(ds, column, p)
+            expected = {c: 0 for c in universe}
+            for label, keep in zip(table[column], mask):
+                if keep:
+                    expected[label] += 1
+            assert hist.labels == universe
+            assert hist.as_dict() == expected
 
-    @given(table=raw_tables(), p=predicates())
+    @given(table=raw_tables(), p=predicates(), edges=bin_edges())
     @settings(max_examples=100, deadline=None)
-    def test_numeric_histogram_equals_naive(self, table, p):
+    def test_numeric_histogram_equals_naive(self, table, p, edges):
         ds = make_dataset(table)
-        edges = np.linspace(-50.0, 51.0, 11)
         hist = numeric_histogram(ds, "value", edges, p)
         mask = naive_mask(p, table)
         selected = [v for v, keep in zip(table["value"], mask) if keep]
         expected, _ = np.histogram(np.asarray(selected, dtype=float), bins=edges)
         assert hist.counts == tuple(int(c) for c in expected)
+        gathered = gathered_cell_counts(ds.column("value"), p.mask(ds), edges)
+        assert hist.counts == tuple(int(c) for c in gathered)
 
     @given(table=raw_tables(), p=predicates())
     @settings(max_examples=100, deadline=None)
@@ -286,3 +314,46 @@ class TestCacheInvalidation:
         assert codes.dtype == np.int32
         recoded = tiny_dataset.column("color").codes
         assert recoded is codes  # materialized once, shared thereafter
+
+    def test_concurrent_index_builds_agree(self):
+        """Eight threads racing to index one shared dataset's fresh columns."""
+        rng = np.random.default_rng(5)
+        n = 10_000
+        ds = Dataset(
+            {"color": rng.choice(COLORS, n), "value": rng.normal(0.0, 30.0, n)},
+            categorical=["color"],
+            category_universe={"color": COLORS},
+        )
+        ensure_thread_safe_caches(ds)
+        filters = [Range("value", -40.0 + 4 * k, 45.0 - 4 * k) for k in range(8)]
+        start = threading.Barrier(8)
+        seen = [None] * 8
+
+        def show(k: int) -> None:
+            start.wait()
+            counts = {}
+            for p in filters[k:] + filters[:k]:
+                counts[p] = (
+                    categorical_histogram(ds, "color", p).counts,
+                    numeric_histogram(ds, "value", UNIFORM_EDGES, p).counts,
+                )
+            seen[k] = counts
+
+        threads = [threading.Thread(target=show, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        expected = {
+            p: (
+                tuple(int(c) for c in gathered_cell_counts(ds.column("color"), p.mask(ds))),
+                tuple(
+                    int(c)
+                    for c in gathered_cell_counts(ds.column("value"), p.mask(ds), UNIFORM_EDGES)
+                ),
+            )
+            for p in filters
+        }
+        assert seen == [expected] * 8
+        for column, edges in (("color", None), ("value", UNIFORM_EDGES)):
+            assert not ds.column(column).code_bitmaps(edges).flags.writeable
