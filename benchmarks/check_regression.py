@@ -55,6 +55,8 @@ def scale_cell_name(cell: dict) -> str:
     stdlib-only, so the derivation is duplicated and pinned in sync by
     ``tests/service/test_check_regression.py``).
     """
+    # Ledger cells older than the transport axis ran the in-process
+    # manager path (since removed); they keep their recorded names.
     transport = cell.get("transport", "manager")
     name = (f"scale_{cell['rows']}x{cell['sessions']}"
             f"_{cell['workload']}_{transport}")

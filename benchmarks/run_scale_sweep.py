@@ -59,11 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="workloads to replay per grid point")
     parser.add_argument("--transport", nargs="+", choices=TRANSPORTS,
                         default=list(DEFAULT_TRANSPORTS), dest="transports",
-                        help="transports to drive per grid point: direct "
-                             "manager dispatch, per-command service calls, "
-                             "batched v2 pipeline envelopes, and/or pipeline "
+                        help="transports to drive per grid point: "
+                             "per-command service calls, batched v2 "
+                             "pipeline envelopes, and/or pipeline "
                              "envelopes through a sharded multi-process "
-                             "router (default: the three in-process ones, "
+                             "router (default: the two in-process ones, "
                              "so pipeline cells record their speedup over "
                              "the service cells)")
     parser.add_argument("--workers", type=int, nargs="+", default=None,
@@ -95,18 +95,14 @@ def main(argv: list[str] | None = None) -> int:
     else:
         rows = tuple(args.rows) if args.rows else (100_000,)
         sessions = tuple(args.sessions) if args.sessions else (16,)
-    transports = tuple(args.transports)
-    workers_grid = tuple(args.workers) if args.workers else ()
-    if workers_grid and "router" not in transports:
-        transports = transports + ("router",)
     sweep = ScaleSweep(
         rows_grid=rows,
         sessions_grid=sessions,
         steps=args.steps,
         seed=args.seed,
         workloads=tuple(args.workloads),
-        transports=transports,
-        workers_grid=workers_grid,
+        transports=tuple(args.transports),
+        workers_grid=tuple(args.workers or ()),
         parallel=not args.serial,
         max_workers=args.max_workers,
         repeats=args.repeats,

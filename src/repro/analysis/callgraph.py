@@ -35,9 +35,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis.core import iter_python_files, module_relative_path
+from repro.analysis.rules import dotted_name, terminal_name
 
 #: Sentinel returned by loose resolution for calls whose target name
 #: matches no definition anywhere in the project (dict-dispatched
@@ -83,25 +84,6 @@ def dotted_to_rel(dotted: str, *, package: str = "repro") -> str | None:
     if not dotted.startswith(prefix):
         return None
     return dotted[len(prefix):].replace(".", "/") + ".py"
-
-
-def _terminal(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class Project:
@@ -257,7 +239,7 @@ class Project:
                 fn = module.functions.get(f"{class_name}.{method}")
                 return [fn] if fn is not None else []
             # imported_module.func() / repro.x.y.func()
-            base_dotted = _dotted(base)
+            base_dotted = dotted_name(base)
             if base_dotted is not None:
                 target_rel = dotted_to_rel(base_dotted)
                 if target_rel is None:
@@ -279,7 +261,7 @@ class Project:
         Deliberately wide: ``backend.handle_dict(...)`` must reach every
         ``handle_dict`` in the project, because at runtime it does.
         """
-        name = _terminal(func_expr)
+        name = terminal_name(func_expr)
         if name is None:
             return [UNRESOLVED]
         keys = self._by_name.get(name)
@@ -318,19 +300,9 @@ class Project:
                         continue
                     if id(node) in call_funcs:
                         continue
-                    name = _terminal(node)
+                    name = terminal_name(node)
                     if name is not None:
                         keys.update(self._by_name.get(name, ()))
             self._address_taken = sorted(keys)
         return self._address_taken
 
-
-def walk_scope(body: Iterable[ast.stmt]) -> Iterator[ast.AST]:
-    """Walk statements without descending into nested function defs."""
-    stack: list[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))

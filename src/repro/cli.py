@@ -62,6 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("holdout", help="Sec. 4.1 hold-out analysis"), 2000)
     add_common(sub.add_parser("all", help="run every artifact in sequence"), 200)
 
+    from repro.service.sweep import DEFAULT_TRANSPORTS, TRANSPORTS
+
     sweep = sub.add_parser(
         "serve-sweep",
         help="multi-session service scale sweep over a (rows x sessions) grid",
@@ -75,14 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0,
                        help="census + workload seed (default 0)")
     sweep.add_argument("--transport", nargs="+", dest="transports",
-                       choices=["manager", "service", "pipeline", "router"],
-                       default=["manager", "service", "pipeline"],
+                       choices=TRANSPORTS, default=list(DEFAULT_TRANSPORTS),
                        help="transports to drive gesture traffic through: "
-                            "direct manager dispatch, per-command service "
-                            "calls, batched v2 pipeline envelopes, or "
-                            "pipeline envelopes through a sharded "
-                            "multi-process router (default: the three "
-                            "in-process ones)")
+                            "per-command service calls, batched v2 "
+                            "pipeline envelopes, or pipeline envelopes "
+                            "through a sharded multi-process router "
+                            "(default: the two in-process ones)")
     sweep.add_argument("--workers", type=int, nargs="+", default=None,
                        help="worker-process counts for router cells; "
                             "implies the router transport")
@@ -315,17 +315,13 @@ def _run_holdout(args) -> str:
 def _run_serve_sweep(args) -> str:
     from repro.service.sweep import ScaleSweep, append_record, format_cells, sweep_extra
 
-    transports = tuple(args.transports)
-    workers_grid = tuple(args.workers) if args.workers else ()
-    if workers_grid and "router" not in transports:
-        transports = transports + ("router",)
     sweep = ScaleSweep(
         rows_grid=tuple(args.rows),
         sessions_grid=tuple(args.sessions),
         steps=args.steps,
         seed=args.seed,
-        transports=transports,
-        workers_grid=workers_grid,
+        transports=tuple(args.transports),
+        workers_grid=tuple(args.workers or ()),
         parallel=not args.serial,
         repeats=args.repeats,
     )

@@ -3,21 +3,19 @@
 The first subsystem on the path from "reproduction" to "service":
 :class:`SessionManager` multiplexes isolated α-investing sessions over
 shared immutable datasets (see :mod:`repro.service.manager` for the
-sharing/isolation contract) and :class:`ScaleSweep` measures the service
-across a (rows × sessions) grid (see :mod:`repro.service.sweep`).
+sharing/isolation contract); clients reach it through the wire protocol
+in :mod:`repro.api`.  :class:`ScaleSweep` measures the service across a
+(rows × sessions × transport) grid, sending every command over that
+protocol (see :mod:`repro.service.sweep`).
 """
 
 from repro.service.events import EventBroker, Subscription
 from repro.service.manager import (
     DEFAULT_TOMBSTONE_LIMIT,
     DecisionRecord,
-    GestureStep,
-    GestureStepResult,
     ServiceStats,
     SessionManager,
     SessionStats,
-    ShowRequest,
-    ShowResponse,
 )
 from repro.service.sweep import TRANSPORTS, ScaleSweep, SweepCell, append_record
 
@@ -25,13 +23,9 @@ __all__ = [
     "DEFAULT_TOMBSTONE_LIMIT",
     "DecisionRecord",
     "EventBroker",
-    "GestureStep",
-    "GestureStepResult",
     "ServiceStats",
     "SessionManager",
     "SessionStats",
-    "ShowRequest",
-    "ShowResponse",
     "Subscription",
     "TRANSPORTS",
     "ScaleSweep",

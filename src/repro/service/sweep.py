@@ -17,21 +17,17 @@ time:
   dashboard" case where cross-session mask sharing should shine;
 * ``user-study`` workload — every session replays the fixed-order Exp. 2
   user-study panels (attribute + accumulated filter chain);
-* both workloads are **compiled into multi-command gestures** (the
-  show→star($prev)→show…​ burst one UI interaction emits, starring the
-  gesture's opening hypothesis when the analyst revisits it) and driven
-  through one of three transports:
+* both workloads are **compiled into multi-command gestures** of wire
+  command dicts (the show→star($prev)→show…​ burst one UI interaction
+  emits, starring the gesture's opening hypothesis when the analyst
+  revisits it) and driven through one of three transports:
 
-  - ``manager`` — direct dispatch through
-    :meth:`~repro.service.manager.SessionManager.execute_gesture`, no
-    protocol layer (the in-process baseline);
   - ``service`` — each command crosses the wire-protocol boundary as its
-    own :meth:`~repro.api.service.ExplorationService.handle` call, with
-    ``"$prev"`` resolved client-side from the previous response (the v1
-    client's only option);
+    own request, with ``"$prev"`` resolved client-side from the previous
+    response (the v1 client's only option);
   - ``pipeline`` — the same gestures batched into v2 pipeline envelopes
     (whole gestures only, ≤ 64 commands per envelope, server-side
-    ``"$prev"`` chaining): the many-analyst pipelined-traffic shape.
+    ``"$prev"`` chaining): the many-analyst pipelined-traffic shape;
   - ``router`` — the same pipeline envelopes, but over HTTP through a
     live :class:`repro.cluster.Cluster`: a consistent-hash router
     fronting N ``repro serve`` worker *processes* (the ``workers``
@@ -40,9 +36,16 @@ time:
     gated under ``scale_*_router_w{workers}`` names, so the scaling
     curve (w1 vs w4 throughput) is a CI-checkable artifact.
 
-  All three transports reject wealth-spending shows on an exhausted
-  session (the wire boundary's admission rule) and abort a gesture at
-  its first failure, so for the compiler's well-formed gestures (a star
+  Every transport reaches the engine through one ``send(wire) ->
+  envelope`` callable — :func:`_wire_call` bound to an in-process
+  :class:`~repro.api.service.ExplorationService`, or the cluster's
+  router — and a cell creates its sessions and reads its hit rate and
+  discoveries with the ``create_session``/``stats``/``export`` verbs,
+  so the sweep exercises exactly the command path real clients use.
+
+  Every transport rejects wealth-spending shows on an exhausted session
+  (the wire boundary's admission rule) and aborts a gesture at its
+  first failure, so for the compiler's well-formed gestures (a star
   always chains to a show earlier in its *own* gesture) the per-session
   decision logs are **byte-identical** across transports — including
   streams that exhaust mid-way — property-tested in
@@ -66,27 +69,24 @@ overwriting.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import gc
 import json
 import time
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.api.protocol import MAX_PIPELINE_COMMANDS, PREV, predicate_to_dict
 from repro.errors import InvalidParameterError
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Predicate
 from repro.ledger import append_ledger_record, run_metadata
-from repro.service.manager import (
-    PREV_HYPOTHESIS,
-    GestureStep,
-    ServiceStats,
-    SessionManager,
-)
 from repro.workloads.census import make_census
 from repro.workloads.user_study import make_user_study_workflow
 
@@ -98,7 +98,6 @@ __all__ = [
     "DEFAULT_TRANSPORTS",
     "GestureMeasurement",
     "compile_gestures",
-    "run_gestures_manager",
     "run_gestures_service",
     "run_gestures_pipeline",
     "append_record",
@@ -112,12 +111,15 @@ __all__ = [
 WORKLOADS: tuple[str, ...] = ("synthetic", "user-study")
 
 #: Transport axis: how gesture traffic reaches the engine.
-TRANSPORTS: tuple[str, ...] = ("manager", "service", "pipeline", "router")
+TRANSPORTS: tuple[str, ...] = ("service", "pipeline", "router")
 
-#: Default transports: the in-process three.  ``router`` boots real OS
-#: processes per cell, so it is opt-in (pass it explicitly, or use the
-#: CLI's ``--workers``).
-DEFAULT_TRANSPORTS: tuple[str, ...] = ("manager", "service", "pipeline")
+#: Default transports: the in-process two.  ``router`` boots real OS
+#: processes per cell, so it is opt-in (pass it explicitly, or give a
+#: ``workers_grid``).
+DEFAULT_TRANSPORTS: tuple[str, ...] = ("service", "pipeline")
+
+#: A wire-protocol endpoint: one request dict in, one envelope dict out.
+Send = Callable[[dict], dict]
 
 #: Size of the shared (attribute, filter) pool for the synthetic workload.
 _SYNTHETIC_POOL_SIZE = 64
@@ -125,12 +127,6 @@ _SYNTHETIC_POOL_SIZE = 64
 #: Shows per compiled gesture (the gesture also stars its opening
 #: hypothesis, so a full gesture is ``1 + _GESTURE_SHOWS`` commands).
 _GESTURE_SHOWS = 3
-
-#: Commands per pipeline envelope.  Mirrors
-#: ``repro.api.protocol.MAX_PIPELINE_COMMANDS`` (pinned by a test);
-#: duplicated here so the module does not import the API layer at import
-#: time (``repro.service`` loads before ``repro.api`` can finish).
-_PIPELINE_MAX_COMMANDS = 64
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,7 @@ class SweepCell:
 
 
 def cell_bench_name(
-    rows: int, sessions: int, workload: str, transport: str = "manager",
+    rows: int, sessions: int, workload: str, transport: str,
     workers: int | None = None,
 ) -> str:
     """The stable benchmark name a sweep cell is gated under.
@@ -266,29 +262,33 @@ def _user_study_streams(
 def compile_gestures(
     panels: Sequence[tuple[str, Predicate]],
     shows_per_gesture: int = _GESTURE_SHOWS,
-) -> list[tuple[GestureStep, ...]]:
+) -> list[tuple[dict, ...]]:
     """Compile a flat panel stream into multi-command gestures.
 
     Consecutive panels group into gestures of up to *shows_per_gesture*
-    shows; each gesture stars its opening hypothesis via ``"$prev"``
-    right after the first show (the analyst bookmarking the panel they
-    came back to) — the show→star→show shape of the API gesture
-    benchmarks.  Every show step keeps its position in the stream, so
+    shows; each gesture stars its opening hypothesis via the protocol's
+    ``"$prev"`` right after the first show (the analyst bookmarking the
+    panel they came back to) — the show→star→show shape of the API
+    gesture benchmarks.  Every show keeps its position in the stream, so
     the decision sequence is independent of the gesture grouping.
+
+    Commands are wire dicts without ``v`` or ``session_id``: the
+    transport runners address them to a session when they send them.
     """
     if shows_per_gesture < 1:
         raise InvalidParameterError("shows_per_gesture must be >= 1")
-    gestures: list[tuple[GestureStep, ...]] = []
+    gestures: list[tuple[dict, ...]] = []
     for start in range(0, len(panels), shows_per_gesture):
         group = panels[start:start + shows_per_gesture]
-        steps: list[GestureStep] = []
+        commands: list[dict] = []
         for index, (attribute, where) in enumerate(group):
-            steps.append(GestureStep("show", attribute=attribute, where=where))
+            show: dict = {"cmd": "show", "attribute": attribute}
+            if where is not None:
+                show["where"] = predicate_to_dict(where)
+            commands.append(show)
             if index == 0:
-                steps.append(
-                    GestureStep("star", hypothesis_id=PREV_HYPOTHESIS)
-                )
-        gestures.append(tuple(steps))
+                commands.append({"cmd": "star", "hypothesis_id": PREV})
+        gestures.append(tuple(commands))
     return gestures
 
 
@@ -316,50 +316,6 @@ class GestureMeasurement:
     show_latencies: tuple[float, ...]
 
 
-def run_gestures_manager(
-    manager: SessionManager,
-    session_id: str,
-    gestures: Sequence[Sequence[GestureStep]],
-) -> list[GestureMeasurement]:
-    """``manager`` transport: direct ``execute_gesture`` dispatch."""
-    out: list[GestureMeasurement] = []
-    for gesture in gestures:
-        start = time.perf_counter()
-        results = manager.execute_gesture(session_id, gesture)
-        wall = time.perf_counter() - start
-        shows = [r for r in results if r.step.verb == "show"]
-        ok_shows = [r for r in shows if r.ok]
-        out.append(GestureMeasurement(
-            latency_s=wall,
-            commands=len(results),
-            shows=len(shows),
-            ok_shows=len(ok_shows),
-            errors=sum(1 for r in results if not r.ok),
-            show_latencies=tuple(r.latency_s for r in ok_shows),
-        ))
-    return out
-
-
-def _step_wire(step: GestureStep, session_id: str) -> dict:
-    """The flat wire form of one gesture step (no ``v``: caller adds it)."""
-    from repro.api.protocol import predicate_to_dict
-
-    if step.verb == "show":
-        payload: dict = {"cmd": "show", "session_id": session_id,
-                         "attribute": step.attribute}
-        if step.where is not None:
-            payload["where"] = predicate_to_dict(step.where)
-        if step.bins is not None:
-            payload["bins"] = step.bins
-        if step.descriptive:
-            payload["descriptive"] = True
-        return payload
-    if step.verb in ("star", "unstar"):
-        return {"cmd": step.verb, "session_id": session_id,
-                "hypothesis_id": step.hypothesis_id}
-    raise InvalidParameterError(f"gesture verb {step.verb!r} has no wire form")
-
-
 def _result_hypothesis(result: dict) -> int | None:
     """The hypothesis id a successful wire result names, if any."""
     hypothesis = result.get("hypothesis")
@@ -371,30 +327,30 @@ def _result_hypothesis(result: dict) -> int | None:
 def _wire_call(service, request: dict) -> dict:
     """One wire-faithful boundary crossing: JSON text in, JSON text out.
 
-    The ``service``/``pipeline`` transports measure the *protocol
-    boundary*, and what crosses a protocol boundary is JSON text — so
-    both the request and the response are serialized and re-parsed
-    around ``handle_dict`` (the ``bench_service_show`` convention in
+    The in-process transports measure the *protocol boundary*, and what
+    crosses a protocol boundary is JSON text — so both the request and
+    the response are serialized and re-parsed around ``handle_dict``
+    (the ``bench_service_show`` convention in
     ``benchmarks/run_api_bench.py``).  This is also exactly the cost
     pipelining amortizes in-process: per-message codec fixed costs,
-    paid once per envelope instead of once per command.
+    paid once per envelope instead of once per command.  Bound to a
+    service (``functools.partial(_wire_call, service)``) it is the
+    ``send`` callable the runners take.
     """
     envelope = service.handle_dict(json.loads(json.dumps(request)))
     return json.loads(json.dumps(envelope))
 
 
 def run_gestures_service(
-    service, session_id: str, gestures: Sequence[Sequence[GestureStep]]
+    send: Send, session_id: str, gestures: Sequence[Sequence[dict]]
 ) -> list[GestureMeasurement]:
-    """``service`` transport: one ``handle()`` round trip per command.
+    """``service`` transport: one round trip per command.
 
-    Every request and response crosses the boundary as JSON text (see
-    :func:`_wire_call`).  ``"$prev"`` must be resolved *client-side*
-    (the protocol rejects the token outside a pipeline): the driver
-    parses each response and chains the id into the next command, and a
-    failed show aborts the rest of its gesture — exactly what a v1
-    client has to do, and the same abort/exhaustion semantics as the
-    other two transports.
+    ``"$prev"`` must be resolved *client-side* (the protocol rejects the
+    token outside a pipeline): the driver parses each response and
+    chains the id into the next command, and a failed command aborts
+    the rest of its gesture — exactly what a v1 client has to do, and
+    the same abort/exhaustion semantics as the pipeline envelope.
     """
     out: list[GestureMeasurement] = []
     for gesture in gestures:
@@ -403,23 +359,23 @@ def run_gestures_service(
         gesture_start = time.perf_counter()
         commands = shows = ok_shows = errors = 0
         show_latencies: list[float] = []
-        for step in gesture:
+        for command in gesture:
             commands += 1
-            if step.verb == "show":
+            is_show = command["cmd"] == "show"
+            if is_show:
                 shows += 1
             if failed:
                 errors += 1
                 continue
-            wire = _step_wire(step, session_id)
-            if wire.get("hypothesis_id") == PREV_HYPOTHESIS:
+            wire = {"v": 2, **command, "session_id": session_id}
+            if wire.get("hypothesis_id") == PREV:
                 if prev is None:
                     errors += 1
                     failed = True
                     continue
                 wire["hypothesis_id"] = prev
-            wire["v"] = 2
             start = time.perf_counter()
-            envelope = _wire_call(service, wire)
+            envelope = send(wire)
             latency = time.perf_counter() - start
             if not envelope["ok"]:
                 errors += 1
@@ -428,7 +384,7 @@ def run_gestures_service(
             hyp_id = _result_hypothesis(envelope["result"])
             if hyp_id is not None:
                 prev = hyp_id
-            if step.verb == "show":
+            if is_show:
                 ok_shows += 1
                 show_latencies.append(latency)
         out.append(GestureMeasurement(
@@ -443,15 +399,15 @@ def run_gestures_service(
 
 
 def _chunk_gestures(
-    gestures: Sequence[Sequence[GestureStep]], max_commands: int
-) -> list[list[Sequence[GestureStep]]]:
+    gestures: Sequence[Sequence[dict]], max_commands: int
+) -> list[list[Sequence[dict]]]:
     """Greedy-pack whole gestures into ≤ *max_commands* envelopes.
 
     A gesture is never split across envelopes: ``"$prev"`` does not
     cross envelope boundaries, so splitting one would strand its star.
     """
-    chunks: list[list[Sequence[GestureStep]]] = []
-    current: list[Sequence[GestureStep]] = []
+    chunks: list[list[Sequence[dict]]] = []
+    current: list[Sequence[dict]] = []
     size = 0
     for gesture in gestures:
         if len(gesture) > max_commands:
@@ -470,35 +426,32 @@ def _chunk_gestures(
 
 
 def run_gestures_pipeline(
-    service,
+    send: Send,
     session_id: str,
-    gestures: Sequence[Sequence[GestureStep]],
-    max_commands: int | None = None,
+    gestures: Sequence[Sequence[dict]],
+    max_commands: int = MAX_PIPELINE_COMMANDS,
 ) -> list[GestureMeasurement]:
     """``pipeline`` transport: gestures batched into v2 envelopes.
 
     Whole gestures pack greedily into ``abort_on_error`` envelopes of at
-    most *max_commands* commands (default: the protocol's 64-command
-    bound, via :data:`_PIPELINE_MAX_COMMANDS`) with server-side
-    ``"$prev"`` chaining, each crossing the boundary as JSON text (see
-    :func:`_wire_call`).  One envelope is one round trip, so
-    per-gesture/per-show latencies are the envelope wall time amortized
-    over its contents.  Building the envelope is timed — the
+    most *max_commands* commands (default: the protocol's bound) with
+    server-side ``"$prev"`` chaining.  One envelope is one round trip,
+    so per-gesture/per-show latencies are the envelope wall time
+    amortized over its contents.  Building the envelope is timed — the
     per-command transport pays its request building inside the
     measurement too.
     """
-    if max_commands is None:
-        max_commands = _PIPELINE_MAX_COMMANDS
     out: list[GestureMeasurement] = []
     for chunk in _chunk_gestures(gestures, max_commands):
         start = time.perf_counter()
         wire_commands = [
-            _step_wire(step, session_id) for gesture in chunk for step in gesture
+            {**command, "session_id": session_id}
+            for gesture in chunk for command in gesture
         ]
         envelope = {"v": 2, "cmd": "pipeline",
                     "failure_policy": "abort_on_error",
                     "commands": wire_commands}
-        response = _wire_call(service, envelope)
+        response = send(envelope)
         wall = time.perf_counter() - start
         if response["ok"]:
             slots = response["result"]["slots"]
@@ -511,8 +464,8 @@ def run_gestures_pipeline(
             gesture_slots = slots[cursor:cursor + len(gesture)]
             cursor += len(gesture)
             shows = [
-                slot for step, slot in zip(gesture, gesture_slots)
-                if step.verb == "show"
+                slot for command, slot in zip(gesture, gesture_slots)
+                if command["cmd"] == "show"
             ]
             ok_shows = sum(1 for slot in shows if slot["ok"])
             out.append(GestureMeasurement(
@@ -524,6 +477,24 @@ def run_gestures_pipeline(
                 show_latencies=tuple([per_command] * ok_shows),
             ))
     return out
+
+
+def _cache_hit_rate(stats: dict) -> float:
+    """Combined mask + histogram hit rate from a ``stats`` result.
+
+    A router's result folds every worker's counters (each process has
+    its own caches — no cross-process sharing, which is part of what the
+    scaling curve shows).
+    """
+    if stats.get("role") == "router":
+        counters = list(stats["workers"].values())
+    else:
+        counters = [stats]
+    hits = sum(c.get("mask_cache_hits", 0) + c.get("hist_cache_hits", 0)
+               for c in counters)
+    misses = sum(c.get("mask_cache_misses", 0) + c.get("hist_cache_misses", 0)
+                 for c in counters)
+    return hits / (hits + misses) if hits + misses else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +525,9 @@ class ScaleSweep:
         Fleet sizes for the ``router`` transport: each grid point runs
         once per worker count, booting a fresh :class:`repro.cluster.
         Cluster` (real OS processes over a throwaway jsonl store,
-        ``fsync=off`` so the disk is not the thing measured).  Requires
-        ``router`` in *transports*; defaults to ``(1,)`` when ``router``
-        is selected without an explicit grid.
+        ``fsync=off`` so the disk is not the thing measured).  A
+        non-empty grid adds ``router`` to *transports*; the grid
+        defaults to ``(1,)`` when ``router`` is selected without one.
     procedure / procedure_kwargs:
         The per-session streaming procedure (every session gets a fresh
         instance — wealth is never shared).
@@ -610,10 +581,7 @@ class ScaleSweep:
         if repeats < 1:
             raise InvalidParameterError("repeats must be >= 1")
         if workers_grid and "router" not in transports:
-            raise InvalidParameterError(
-                "workers_grid is the router transport's axis; add 'router' "
-                "to transports (or drop workers_grid)"
-            )
+            transports = (*transports, "router")
         if "router" in transports and not workers_grid:
             workers_grid = (1,)
         if workers_grid and min(workers_grid) < 1:
@@ -714,36 +682,24 @@ class ScaleSweep:
         transport a small cell is a *single* envelope, so that one-time
         cost would dominate its mean and poison the speedup ratio.
         Warming up on a separate tiny census keeps the measured cells'
-        caches and hit counters untouched.
+        caches and hit counters untouched.  ``router`` warms the
+        in-process pipeline path: its extra costs (HTTP, worker boot)
+        warm up at cluster start, inside the cell but outside its
+        measured section.
         """
         base = make_census(500, seed=self.seed)
-        gestures = compile_gestures(_synthetic_streams(base, 1, 4, self.seed)[0])
         for transport in self.transports:
-            manager = SessionManager()
-            manager.register_dataset(base, name="warmup")
-            sid = manager.create_session("warmup", procedure=self.procedure,
-                                         **self.procedure_kwargs)
-            if transport == "manager":
-                run_gestures_manager(manager, sid, gestures)
-            else:
-                from repro.api.service import ExplorationService
-
-                service = ExplorationService(manager=manager, max_sessions=None)
-                if transport == "service":
-                    run_gestures_service(service, sid, gestures)
-                else:
-                    # "pipeline" and "router" both drive pipeline
-                    # envelopes; the router's extra costs (HTTP, worker
-                    # boot) warm up at cluster start, inside the cell
-                    # but outside its measured section.
-                    run_gestures_pipeline(service, sid, gestures)
+            self._measure_once(
+                base, 1, "synthetic",
+                "pipeline" if transport == "router" else transport,
+            )
 
     def run_cell(
         self,
         base: Dataset,
         n_sessions: int,
         workload: str,
-        transport: str = "manager",
+        transport: str = "service",
         workers: int | None = None,
     ) -> SweepCell:
         """Measure one grid cell; ``repeats`` replays pool their samples.
@@ -769,15 +725,9 @@ class ScaleSweep:
         flat: list[GestureMeasurement] = []
         total_wall = 0.0
         for _ in range(self.repeats):
-            if transport == "router":
-                repeat_flat, wall, stats, discoveries, rows = (
-                    self._measure_once_router(base, n_sessions, workload,
-                                              workers)
-                )
-            else:
-                repeat_flat, wall, stats, discoveries, rows = (
-                    self._measure_once(base, n_sessions, workload, transport)
-                )
+            repeat_flat, wall, hit_rate, discoveries = self._measure_once(
+                base, n_sessions, workload, transport, workers
+            )
             flat.extend(repeat_flat)
             total_wall += wall
         per_repeat = len(flat) // self.repeats
@@ -787,7 +737,7 @@ class ScaleSweep:
         )
         ok_shows = sum(m.ok_shows for m in flat)
         return SweepCell(
-            rows=rows,
+            rows=base.n_rows,
             sessions=n_sessions,
             workload=workload,
             transport=transport,
@@ -824,120 +774,41 @@ class ScaleSweep:
             throughput_gestures_per_s=(
                 float(len(flat) / total_wall) if total_wall > 0 else 0.0
             ),
-            cache_hit_rate=stats.shared_cache_hit_rate,
+            cache_hit_rate=hit_rate,
             discoveries=discoveries,
             workers=workers,
         )
 
-    def _measure_once(
-        self,
-        base: Dataset,
-        n_sessions: int,
-        workload: str,
-        transport: str,
-    ) -> tuple[list[GestureMeasurement], float, ServiceStats, int, int]:
-        """One replay of a cell's workload on a fresh view of *base*."""
-        # Fresh object => empty caches; zero-copy, so even the 1M-row cell
-        # costs an index array, not a column copy.
-        dataset = base.select_index(
-            np.arange(base.n_rows, dtype=np.intp), name=f"{base.name}[cell]"
-        )
-        manager = SessionManager()
-        manager.register_dataset(dataset, name="cell")
-        session_ids = [
-            manager.create_session("cell", procedure=self.procedure,
-                                   **self.procedure_kwargs)
-            for _ in range(n_sessions)
-        ]
-        service = None
-        if transport in ("service", "pipeline"):
+    @contextlib.contextmanager
+    def _endpoint(
+        self, base: Dataset, transport: str, workers: int | None
+    ) -> Iterator[tuple[Send, str]]:
+        """A fresh wire endpoint for one replay: ``(send, dataset name)``.
+
+        In-process transports get a new :class:`~repro.api.service.
+        ExplorationService` over a fresh zero-copy view of *base* (new
+        object ⇒ empty caches; even the 1M-row cell costs an index
+        array, not a column copy).  ``router`` boots a fresh
+        :class:`repro.cluster.Cluster` — *workers* real ``repro serve``
+        processes over a throwaway jsonl store with fsync off (the
+        scaling curve must measure compute, not the disk) — whose
+        router forwards each envelope to the owning worker as JSON over
+        HTTP.  Setup (view, census generation, worker boot) happens
+        here, outside the measured section.
+        """
+        if transport != "router":
             from repro.api.service import ExplorationService
 
-            service = ExplorationService(manager=manager, max_sessions=None)
-        # Workload generation probes predicate masks (the user-study
-        # generator evaluates filter prevalence), so build the panel
-        # streams against *base* — never the measured view — or the
-        # cell would start with warmed caches and polluted hit counters.
-        # Panels carry only structural predicates, valid on any view.
-        if workload == "synthetic":
-            streams = _synthetic_streams(base, n_sessions, self.steps, self.seed)
-        else:
-            streams = _user_study_streams(base, n_sessions, self.steps, self.seed)
-        gestures_per_session = [compile_gestures(stream) for stream in streams]
+            dataset = base.select_index(
+                np.arange(base.n_rows, dtype=np.intp), name=f"{base.name}[cell]"
+            )
+            service = ExplorationService(max_sessions=None)
+            service.register_dataset(dataset, name="cell")
+            yield functools.partial(_wire_call, service), "cell"
+            return
 
-        measurements: list[list[GestureMeasurement]] = [
-            [] for _ in range(n_sessions)
-        ]
-
-        def run_session(index: int) -> None:
-            sid = session_ids[index]
-            gestures = gestures_per_session[index]
-            if transport == "manager":
-                measurements[index] = run_gestures_manager(manager, sid, gestures)
-            elif transport == "service":
-                measurements[index] = run_gestures_service(service, sid, gestures)
-            else:
-                measurements[index] = run_gestures_pipeline(service, sid, gestures)
-
-        use_pool = (
-            self.parallel
-            and n_sessions > 1
-            and (self.max_workers is None or self.max_workers > 1)
-        )
-        # GC pauses land on whichever envelope happens to be in flight —
-        # on a one-envelope cell that single spike *is* the mean, so the
-        # collector is paused for the measured section (the standard
-        # microbenchmark discipline; pytest-benchmark does the same).
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        start = time.perf_counter()
-        try:
-            if use_pool:
-                with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                    futures = [
-                        pool.submit(run_session, i) for i in range(n_sessions)
-                    ]
-                    for fut in futures:
-                        fut.result()
-            else:
-                for i in range(n_sessions):
-                    run_session(i)
-        finally:
-            wall = time.perf_counter() - start
-            if gc_was_enabled:
-                gc.enable()
-
-        flat = [m for per_session in measurements for m in per_session]
-        stats = manager.stats()
-        discoveries = sum(
-            len(manager.session(sid).discoveries()) for sid in session_ids
-        )
-        return flat, wall, stats, discoveries, dataset.n_rows
-
-    def _measure_once_router(
-        self,
-        base: Dataset,
-        n_sessions: int,
-        workload: str,
-        workers: int,
-    ):
-        """One replay of a cell's workload through a live worker fleet.
-
-        Boots a fresh :class:`repro.cluster.Cluster` — *workers* real
-        ``repro serve`` processes over a throwaway jsonl store with
-        fsync off (the scaling curve must measure compute, not the
-        disk) — and drives the same compiled gestures as the
-        ``pipeline`` transport straight into the router's
-        ``handle_dict``: each envelope crosses to the owning worker as
-        JSON over HTTP, so the measured path is codec + wire + a whole
-        separate interpreter's execution.  Worker boot (census
-        generation, ``recover_all``) happens outside the measured
-        section, like dataset registration does on the in-process
-        transports.
-        """
         import shutil
         import tempfile
-        from types import SimpleNamespace
 
         from repro.cluster import Cluster
 
@@ -952,24 +823,47 @@ class ScaleSweep:
         )
         try:
             cluster.start()
-            router = cluster.router
+            yield cluster.router.handle_dict, "census"
+        finally:
+            cluster.stop()
+            shutil.rmtree(tmp, ignore_errors=True)
 
+    def _measure_once(
+        self,
+        base: Dataset,
+        n_sessions: int,
+        workload: str,
+        transport: str,
+        workers: int | None = None,
+    ) -> tuple[list[GestureMeasurement], float, float, int]:
+        """One replay of a cell's workload, every command over the wire.
+
+        Returns the per-gesture measurements, the measured wall time,
+        the combined cache hit rate and the discovery count.
+        """
+        with self._endpoint(base, transport, workers) as (send, dataset_name):
             def call(request: dict) -> dict:
-                envelope = router.handle_dict(request)
+                envelope = send(request)
                 if not envelope.get("ok"):
                     raise InvalidParameterError(
-                        f"router cell setup call failed: {envelope.get('error')}"
+                        f"sweep cell setup call failed: {envelope.get('error')}"
                     )
                 return envelope["result"]
 
-            session_ids = []
-            for _ in range(n_sessions):
-                create: dict = {"v": 2, "cmd": "create_session",
-                                "dataset": "census",
-                                "procedure": self.procedure}
-                if self.procedure_kwargs:
-                    create["procedure_kwargs"] = dict(self.procedure_kwargs)
-                session_ids.append(call(create)["session_id"])
+            create: dict = {"v": 2, "cmd": "create_session",
+                            "dataset": dataset_name,
+                            "procedure": self.procedure}
+            if self.procedure_kwargs:
+                create["procedure_kwargs"] = dict(self.procedure_kwargs)
+            session_ids = [
+                call(create)["session_id"] for _ in range(n_sessions)
+            ]
+            # Workload generation probes predicate masks (the user-study
+            # generator evaluates filter prevalence), so build the panel
+            # streams against *base* — never the measured view — or the
+            # cell would start with warmed caches and polluted hit
+            # counters.  Panels carry only structural predicates, valid
+            # on any view.
             if workload == "synthetic":
                 streams = _synthetic_streams(base, n_sessions, self.steps,
                                              self.seed)
@@ -977,13 +871,15 @@ class ScaleSweep:
                 streams = _user_study_streams(base, n_sessions, self.steps,
                                               self.seed)
             gestures_per_session = [compile_gestures(s) for s in streams]
+            runner = (run_gestures_service if transport == "service"
+                      else run_gestures_pipeline)
             measurements: list[list[GestureMeasurement]] = [
                 [] for _ in range(n_sessions)
             ]
 
             def run_session(index: int) -> None:
-                measurements[index] = run_gestures_pipeline(
-                    router, session_ids[index], gestures_per_session[index]
+                measurements[index] = runner(
+                    send, session_ids[index], gestures_per_session[index]
                 )
 
             use_pool = (
@@ -991,6 +887,11 @@ class ScaleSweep:
                 and n_sessions > 1
                 and (self.max_workers is None or self.max_workers > 1)
             )
+            # GC pauses land on whichever envelope happens to be in
+            # flight — on a one-envelope cell that single spike *is* the
+            # mean, so the collector is paused for the measured section
+            # (the standard microbenchmark discipline; pytest-benchmark
+            # does the same).
             gc_was_enabled = gc.isenabled()
             gc.disable()
             start = time.perf_counter()
@@ -1011,21 +912,7 @@ class ScaleSweep:
                 if gc_was_enabled:
                     gc.enable()
 
-            # Fleet-wide cache hit rate: fold every worker's counters
-            # (each process has its own caches — no cross-process
-            # sharing, which is part of what the scaling curve shows).
-            worker_stats = call({"v": 2, "cmd": "stats"})["workers"]
-            hits = misses = 0
-            for result in worker_stats.values():
-                hits += (result.get("mask_cache_hits", 0)
-                         + result.get("hist_cache_hits", 0))
-                misses += (result.get("mask_cache_misses", 0)
-                           + result.get("hist_cache_misses", 0))
-            stats = SimpleNamespace(
-                shared_cache_hit_rate=(
-                    hits / (hits + misses) if hits + misses else 0.0
-                )
-            )
+            hit_rate = _cache_hit_rate(call({"v": 2, "cmd": "stats"}))
             discoveries = 0
             for sid in session_ids:
                 export = call({"v": 2, "cmd": "export", "session_id": sid})
@@ -1034,10 +921,7 @@ class ScaleSweep:
                     if h.get("rejected") and h.get("status") == "active"
                 )
             flat = [m for per_session in measurements for m in per_session]
-            return flat, wall, stats, discoveries, base.n_rows
-        finally:
-            cluster.stop()
-            shutil.rmtree(tmp, ignore_errors=True)
+            return flat, wall, hit_rate, discoveries
 
 
 def sweep_extra(sweep: ScaleSweep, label: str | None = None) -> dict:

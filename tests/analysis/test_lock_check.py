@@ -1,7 +1,7 @@
 """Regression: real workloads run clean under ``REPRO_LOCK_CHECK=1``.
 
-The satellite contract for the runtime detector — the transport
-equivalence drive (manager / per-command service / batched pipeline) and
+The contract for the runtime detector — the transport equivalence drive
+(per-command service / batched pipeline), threaded pipeline traffic and
 a durable evict→recover cycle must produce byte-identical decision logs
 with *zero* lock-discipline events.  A boundary may swallow the
 ``LockDisciplineError`` into an INTERNAL envelope, but the event ledger
@@ -12,18 +12,22 @@ e2es with the flag set.)
 
 from __future__ import annotations
 
-import threading
+import functools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.analysis import runtime as rt
+from repro.api.protocol import PREV, predicate_to_dict
+from repro.api.service import ExplorationService
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Eq
-from repro.service.manager import (
-    PREV_HYPOTHESIS,
-    GestureStep,
-    SessionManager,
+from repro.service.manager import SessionManager
+from repro.service.sweep import (
+    _wire_call,
+    run_gestures_pipeline,
+    run_gestures_service,
 )
 
 
@@ -49,15 +53,24 @@ def _dataset() -> Dataset:
     )
 
 
-def _gestures() -> list[tuple[GestureStep, ...]]:
+def _gestures() -> list[tuple[dict, ...]]:
     gestures = []
     for category in ("red", "blue", "green", "red", "blue"):
         gestures.append((
-            GestureStep("show", attribute="shape", where=Eq("color", category)),
-            GestureStep("star", hypothesis_id=PREV_HYPOTHESIS),
-            GestureStep("show", attribute="color", where=Eq("shape", "circle")),
+            {"cmd": "show", "attribute": "shape",
+             "where": predicate_to_dict(Eq("color", category))},
+            {"cmd": "star", "hypothesis_id": PREV},
+            {"cmd": "show", "attribute": "color",
+             "where": predicate_to_dict(Eq("shape", "circle"))},
         ))
     return gestures
+
+
+def _send(manager: SessionManager):
+    """The sweep's in-process wire endpoint over *manager*."""
+    return functools.partial(
+        _wire_call, ExplorationService(manager, max_sessions=None)
+    )
 
 
 def _checked(manager: SessionManager) -> None:
@@ -65,56 +78,41 @@ def _checked(manager: SessionManager) -> None:
 
 
 def test_transport_equivalence_with_zero_events():
-    from repro.api.service import ExplorationService
-    from repro.service.sweep import (
-        run_gestures_manager,
-        run_gestures_pipeline,
-        run_gestures_service,
-    )
-
     logs = {}
     for transport, runner in (
-        ("manager", run_gestures_manager),
         ("service", run_gestures_service),
         ("pipeline", run_gestures_pipeline),
     ):
         manager = SessionManager()
         _checked(manager)
         manager.register_dataset(_dataset(), name="d")
-        service = ExplorationService(manager, max_sessions=None)
         sid = manager.create_session("d")
-        target = manager if transport == "manager" else service
-        runner(target, sid, _gestures())
+        runner(_send(manager), sid, _gestures())
         logs[transport] = manager.decision_log_bytes(sid)
-    assert logs["manager"] == logs["service"] == logs["pipeline"]
+    assert logs["service"] == logs["pipeline"]
 
 
 def test_threaded_dispatch_with_zero_events():
-    """N threads × M sessions, overlapping shows: no inversions, no
-    unlocked helper entries, decision logs identical to serial."""
-    def drive(manager: SessionManager, sids: list[str]) -> None:
-        def work(sid: str) -> None:
-            for gesture in _gestures():
-                manager.execute_gesture(sid, gesture)
-
-        threads = [threading.Thread(target=work, args=(sid,)) for sid in sids]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
+    """N threads × M sessions sending overlapping pipeline envelopes: no
+    inversions, no unlocked helper entries, decision logs identical to
+    serial."""
     threaded = SessionManager()
     _checked(threaded)
     threaded.register_dataset(_dataset(), name="d")
     sids = [threaded.create_session("d") for _ in range(4)]
-    drive(threaded, sids)
+    send = _send(threaded)
+    with ThreadPoolExecutor(max_workers=len(sids)) as pool:
+        futures = [pool.submit(run_gestures_pipeline, send, sid, _gestures())
+                   for sid in sids]
+        for future in futures:
+            future.result(timeout=60)
 
     serial = SessionManager()
     serial.register_dataset(_dataset(), name="d")
     serial_sids = [serial.create_session("d") for _ in range(4)]
+    serial_send = _send(serial)
     for sid in serial_sids:
-        for gesture in _gestures():
-            serial.execute_gesture(sid, gesture)
+        run_gestures_pipeline(serial_send, sid, _gestures())
 
     for sid_t, sid_s in zip(sids, serial_sids):
         assert threaded.decision_log_bytes(sid_t) == serial.decision_log_bytes(sid_s)
@@ -128,8 +126,7 @@ def test_durable_evict_recover_with_zero_events(tmp_path):
         _checked(manager)
         manager.register_dataset(_dataset(), name="d")
         sid = manager.create_session("d")  # store attached → durable
-        for gesture in _gestures()[:2]:
-            manager.execute_gesture(sid, gesture)
+        run_gestures_pipeline(_send(manager), sid, _gestures()[:2])
         before = manager.decision_log_bytes(sid)
         assert manager._evict_session(sid, reason="test")
         manager.recover_session(sid)

@@ -1,25 +1,31 @@
-"""Concurrency property: threaded dispatch is invisible in the decisions.
+"""Concurrency property: threaded traffic is invisible in the decisions.
 
 The service contract (``repro/service/manager.py``) promises that N
 threads driving N independent sessions over one shared dataset produce
 decision logs **byte-identical** to the same sessions run serially:
 sessions share only immutable columns and thread-safe memo caches, so
 parallelism may change latency but never a p-value, a wealth trajectory,
-or a rejection.  Hypothesis generates the workloads — which panels each
-session shows, in which interleaving the batch arrives, and how wide the
-thread pool is — and every example replays the exact same traffic twice,
-serial then threaded, comparing the canonical serialized logs.
+or a rejection.  The threads follow the HTTP server's model: one thread
+per session, each calling ``service.handle_dict`` once per command.
+Hypothesis generates the workloads — which panels each session shows
+and in which interleaving the commands arrive — and every example
+replays the exact same traffic serially and threaded, comparing the
+canonical serialized logs.
 """
 
 from __future__ import annotations
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.protocol import predicate_to_dict
+from repro.api.service import ExplorationService
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Eq
-from repro.service import SessionManager, ShowRequest
 
 _COLORS = ("red", "blue", "green")
 _SHAPES = ("circle", "square", "triangle")
@@ -67,9 +73,8 @@ def traffic(draw):
         draw(st.lists(panel(), min_size=1, max_size=8))
         for _ in range(n_sessions)
     ]
-    # arrival interleaving: shuffle which session each batch slot belongs
-    # to; within one session, steps always arrive in stream order (the
-    # batch order across sessions is what exercises the grouping logic)
+    # arrival interleaving: shuffle which session each serial slot
+    # belongs to; within one session, steps always arrive in stream order
     slots = [s for s, stream in enumerate(streams) for _ in stream]
     order = draw(st.permutations(slots))
     seen = {s: 0 for s in range(n_sessions)}
@@ -77,47 +82,80 @@ def traffic(draw):
     for s in order:
         arrival.append((s, seen[s]))
         seen[s] += 1
-    max_workers = draw(st.sampled_from([None, 2, 4]))
-    return streams, arrival, max_workers
+    return streams, arrival
 
 
-def _run(streams, arrival, parallel: bool, max_workers) -> list[bytes]:
-    """Replay the traffic on a fresh dataset view + manager; return logs."""
+def _service(n_sessions: int) -> tuple[ExplorationService, list[str]]:
+    """A fresh service over a fresh dataset view, with *n_sessions* open."""
     # Fresh zero-copy view => empty caches, so serial and threaded runs
     # start cold either way and cache state cannot leak between runs.
     dataset = _BASE.select_index(
         np.arange(_BASE.n_rows, dtype=np.intp), name="replay"
     )
-    manager = SessionManager(max_workers=max_workers)
-    manager.register_dataset(dataset, name="d")
-    sids = [manager.create_session("d") for _ in range(len(streams))]
-    requests = [
-        ShowRequest(sids[s], streams[s][i][0], where=streams[s][i][1])
-        for s, i in arrival
-    ]
-    responses = manager.dispatch(requests, parallel=parallel)
-    assert all(r.ok for r in responses), [r.error for r in responses if not r.ok]
-    return [manager.decision_log_bytes(sid) for sid in sids]
+    service = ExplorationService(max_sessions=None)
+    service.register_dataset(dataset, name="d")
+    sids = []
+    for _ in range(n_sessions):
+        response = service.handle_dict(
+            {"v": 2, "cmd": "create_session", "dataset": "d"}
+        )
+        sids.append(response["result"]["session_id"])
+    return service, sids
+
+
+def _show(service: ExplorationService, sid: str, panel) -> None:
+    target, where = panel
+    response = service.handle_dict({
+        "v": 2, "cmd": "show", "session_id": sid, "attribute": target,
+        "where": predicate_to_dict(where),
+    })
+    assert response["ok"], response
+
+
+def _logs(service: ExplorationService, sids: list[str]) -> list[bytes]:
+    return [service.manager.decision_log_bytes(sid) for sid in sids]
+
+
+def _run_serial(streams, arrival) -> list[bytes]:
+    """Replay the commands one at a time, in *arrival* order."""
+    service, sids = _service(len(streams))
+    for s, i in arrival:
+        _show(service, sids[s], streams[s][i])
+    return _logs(service, sids)
+
+
+def _run_threaded(streams) -> list[bytes]:
+    """One thread per session, released together, each sending its
+    session's commands in stream order (the HTTP server's model)."""
+    service, sids = _service(len(streams))
+    start = threading.Barrier(len(streams))
+
+    def drive(s: int) -> None:
+        start.wait(timeout=60)
+        for panel in streams[s]:
+            _show(service, sids[s], panel)
+
+    with ThreadPoolExecutor(max_workers=len(streams)) as pool:
+        for future in [pool.submit(drive, s) for s in range(len(streams))]:
+            future.result(timeout=60)
+    return _logs(service, sids)
 
 
 class TestThreadedEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(traffic())
     def test_threaded_logs_byte_identical_to_serial(self, tr):
-        streams, arrival, max_workers = tr
-        serial = _run(streams, arrival, parallel=False, max_workers=max_workers)
-        threaded = _run(streams, arrival, parallel=True, max_workers=max_workers)
-        assert serial == threaded
+        streams, arrival = tr
+        assert _run_threaded(streams) == _run_serial(streams, arrival)
 
     @settings(max_examples=10, deadline=None)
     @given(traffic())
     def test_arrival_interleaving_is_irrelevant_across_sessions(self, tr):
         """Two different arrival orders of the *same* per-session streams
         give identical logs: only within-session order matters."""
-        streams, arrival, max_workers = tr
+        streams, arrival = tr
         session_major = [
             (s, i) for s in range(len(streams)) for i in range(len(streams[s]))
         ]
-        a = _run(streams, arrival, parallel=True, max_workers=max_workers)
-        b = _run(streams, session_major, parallel=True, max_workers=max_workers)
-        assert a == b
+        assert (_run_serial(streams, arrival)
+                == _run_serial(streams, session_major))

@@ -1,30 +1,34 @@
 """Property: the transport is invisible in the decisions.
 
-The scale sweep drives the same gesture workload through three
-transports — direct :meth:`SessionManager.execute_gesture` dispatch,
-per-command ``ExplorationService.handle()`` calls with client-side
-``"$prev"`` resolution, and batched v2 pipeline envelopes with
-server-side chaining.  For random multi-session gesture streams
-(including streams whose α-wealth runs dry mid-way, where shows start
-failing), all three must produce **byte-identical** per-session decision
-logs: the transport may change latency and round trips, never a
-decision.  This is the transport-axis extension of PR 2's
-serial-vs-threaded and PR 4's serial-vs-pipelined equivalences.
+The scale sweep drives the same gesture workload through every
+transport over the wire protocol — per-command ``handle_dict`` calls
+with client-side ``"$prev"`` resolution (the reference), batched v2
+pipeline envelopes with server-side chaining, the same envelopes sent
+from one thread per session, and a sharded router.  For random
+multi-session gesture streams (including streams whose α-wealth runs dry
+mid-way, where shows start failing), all of them must produce
+**byte-identical** per-session decision logs: the transport may change
+latency and round trips, never a decision.  This is the transport-axis
+extension of the serial-vs-threaded and serial-vs-pipelined
+equivalences.
 """
 
 from __future__ import annotations
+
+import functools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.protocol import PREV, predicate_to_dict
 from repro.api.service import ExplorationService
 from repro.exploration.dataset import Dataset
 from repro.exploration.predicate import Eq
 from repro.service import SessionManager
-from repro.service.manager import PREV_HYPOTHESIS, GestureStep
 from repro.service.sweep import (
-    run_gestures_manager,
+    _wire_call,
     run_gestures_pipeline,
     run_gestures_service,
 )
@@ -67,17 +71,17 @@ def gesture(draw):
     excluded here and never generated by ``compile_gestures``.
     """
     n_shows = draw(st.integers(min_value=1, max_value=3))
-    steps: list[GestureStep] = []
+    commands: list[dict] = []
     star_at = draw(st.integers(min_value=1, max_value=n_shows))
     for i in range(n_shows):
         target = draw(st.sampled_from(_ATTRS))
         filt_attr = draw(st.sampled_from([a for a in _ATTRS if a != target]))
         category = draw(st.sampled_from(_CATEGORY[filt_attr]))
-        steps.append(GestureStep("show", attribute=target,
-                                 where=Eq(filt_attr, category)))
+        commands.append({"cmd": "show", "attribute": target,
+                         "where": predicate_to_dict(Eq(filt_attr, category))})
         if star_at == i + 1:
-            steps.append(GestureStep("star", hypothesis_id=PREV_HYPOTHESIS))
-    return tuple(steps)
+            commands.append({"cmd": "star", "hypothesis_id": PREV})
+    return tuple(commands)
 
 
 @st.composite
@@ -150,7 +154,7 @@ def _run_router(streams, exhausting: bool, move_at_half: bool = True
     ]
     for sid, (first, _rest) in zip(sids, halves):
         if first:
-            run_gestures_pipeline(router, sid, first)
+            run_gestures_pipeline(router.handle_dict, sid, first)
     if move_at_half:
         # Kill the first session's owner: its shard reassigns and the
         # new owner must continue from the durable log, not from scratch
@@ -158,7 +162,7 @@ def _run_router(streams, exhausting: bool, move_at_half: bool = True
         router.remove_worker(router.owner_of(sids[0]))
     for sid, (_first, rest) in zip(sids, halves):
         if rest:
-            run_gestures_pipeline(router, sid, rest)
+            run_gestures_pipeline(router.handle_dict, sid, rest)
 
     logs = []
     for sid in sids:
@@ -172,6 +176,12 @@ def _run_router(streams, exhausting: bool, move_at_half: bool = True
 
 def _run(transport: str, streams, exhausting: bool,
          store=None, snapshot_every: int | None = None) -> list[bytes]:
+    """Replay the streams through one in-process transport.
+
+    ``service`` sends one command per round trip, ``pipeline`` batches
+    whole gestures into envelopes, and ``threaded`` sends the pipeline
+    envelopes of every session from its own thread at once.
+    """
     # Fresh zero-copy view => empty caches; decisions cannot leak
     # between transports through cache state (they could not anyway —
     # caches are decision-invisible — but cold starts keep runs honest).
@@ -189,14 +199,22 @@ def _run(transport: str, streams, exhausting: bool,
         {"procedure": "gamma-fixed", "gamma": 3.0} if exhausting else {}
     )
     sids = [manager.create_session("d", **kwargs) for _ in streams]
-    service = ExplorationService(manager=manager, max_sessions=None)
-    for sid, gestures in zip(sids, streams):
-        if transport == "manager":
-            run_gestures_manager(manager, sid, gestures)
-        elif transport == "service":
-            run_gestures_service(service, sid, gestures)
-        else:
-            run_gestures_pipeline(service, sid, gestures)
+    send = functools.partial(
+        _wire_call, ExplorationService(manager=manager, max_sessions=None)
+    )
+    runner = (run_gestures_service if transport == "service"
+              else run_gestures_pipeline)
+    drives = [
+        functools.partial(runner, send, sid, gestures)
+        for sid, gestures in zip(sids, streams)
+    ]
+    if transport == "threaded":
+        with ThreadPoolExecutor(max_workers=len(drives)) as pool:
+            for future in [pool.submit(drive) for drive in drives]:
+                future.result(timeout=60)
+    else:
+        for drive in drives:
+            drive()
     return [manager.decision_log_bytes(sid) for sid in sids]
 
 
@@ -205,10 +223,10 @@ class TestTransportEquivalence:
     @given(workload())
     def test_three_transports_byte_identical_logs(self, case):
         streams, exhausting = case
-        manager_logs = _run("manager", streams, exhausting)
         service_logs = _run("service", streams, exhausting)
         pipeline_logs = _run("pipeline", streams, exhausting)
-        assert manager_logs == service_logs == pipeline_logs
+        threaded_logs = _run("threaded", streams, exhausting)
+        assert service_logs == pipeline_logs == threaded_logs
 
     @settings(max_examples=10, deadline=None)
     @given(workload())
@@ -218,9 +236,9 @@ class TestTransportEquivalence:
         via durable recovery — is just another transport: byte-identical
         decision logs, including wealth-exhausted streams."""
         streams, exhausting = case
-        manager_logs = _run("manager", streams, exhausting)
+        service_logs = _run("service", streams, exhausting)
         router_logs = _run_router(streams, exhausting)
-        assert router_logs == manager_logs
+        assert router_logs == service_logs
 
     @settings(max_examples=10, deadline=None)
     @given(workload(), st.integers(min_value=5, max_value=64))
@@ -240,9 +258,11 @@ class TestTransportEquivalence:
             {"procedure": "gamma-fixed", "gamma": 3.0} if exhausting else {}
         )
         sids = [manager.create_session("d", **kwargs) for _ in streams]
-        service = ExplorationService(manager=manager, max_sessions=None)
+        send = functools.partial(
+            _wire_call, ExplorationService(manager=manager, max_sessions=None)
+        )
         for sid, gestures in zip(sids, streams):
-            run_gestures_pipeline(service, sid, gestures,
+            run_gestures_pipeline(send, sid, gestures,
                                   max_commands=max_commands)
         rechunked = [manager.decision_log_bytes(sid) for sid in sids]
         assert rechunked == default
@@ -274,7 +294,7 @@ class TestStoreEquivalence:
 
         streams, exhausting = case
         store = MemorySessionStore()
-        logs = _run("manager", streams, exhausting, store=store,
+        logs = _run("service", streams, exhausting, store=store,
                     snapshot_every=2)
         dataset = _BASE.select_index(
             np.arange(_BASE.n_rows, dtype=np.intp), name="recovered"

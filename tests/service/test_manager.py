@@ -1,15 +1,19 @@
-"""SessionManager: registry, isolation, batched dispatch, decision logs."""
+"""SessionManager: registry, isolation, dispatch through the wire
+service, decision logs."""
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api.protocol import predicate_to_dict
+from repro.api.service import ExplorationService
 from repro.errors import InvalidParameterError, SessionError
 from repro.exploration.engine import ThreadSafeLRUCache
 from repro.exploration.predicate import Eq
 from repro.exploration.session import ExplorationSession
-from repro.service import SessionManager, ShowRequest
+from repro.service import SessionManager
 from repro.workloads.census import make_census
 
 
@@ -20,11 +24,23 @@ def manager(census):
     return m
 
 
-def _panel_requests(census, session_id, attribute="sex", filter_attr="occupation"):
-    return [
-        ShowRequest(session_id, attribute, where=Eq(filter_attr, cat))
-        for cat in census.categories(filter_attr)
-    ]
+def _panels(census, attribute="sex", filter_attr="occupation"):
+    """One (attribute, filter) panel per category of *filter_attr*."""
+    return [(attribute, Eq(filter_attr, cat))
+            for cat in census.categories(filter_attr)]
+
+
+def _show_all(manager, session_id, panels):
+    for attribute, where in panels:
+        manager.show(session_id, attribute, where=where)
+
+
+def _show_command(session_id, attribute, where=None):
+    command = {"cmd": "show", "session_id": session_id,
+               "attribute": attribute}
+    if where is not None:
+        command["where"] = predicate_to_dict(where)
+    return command
 
 
 class TestRegistry:
@@ -94,8 +110,7 @@ class TestIsolation:
         a = manager.create_session("census")
         b = manager.create_session("census")
         initial = manager.wealth(b)
-        for req in _panel_requests(census, a):
-            manager.show(req.session_id, req.attribute, where=req.where)
+        _show_all(manager, a, _panels(census))
         # a spent wealth; b never tested, so its ledger is untouched
         assert manager.wealth(a) != initial
         assert manager.wealth(b) == initial
@@ -107,85 +122,95 @@ class TestIsolation:
         assert manager.session(a).procedure is not manager.session(b).procedure
 
     def test_dispatch_never_overturns_earlier_decisions(self, manager, census):
-        """Interleaved dispatch across sessions keeps per-session logs
+        """Interleaved shows across sessions keep per-session logs
         append-only: earlier records are byte-identical after more traffic."""
         a = manager.create_session("census")
         b = manager.create_session("census")
-        first = _panel_requests(census, a)[:3] + _panel_requests(census, b)[:3]
-        manager.dispatch(first)
+        _show_all(manager, a, _panels(census)[:3])
+        _show_all(manager, b, _panels(census)[:3])
         snapshot_a = manager.decision_log(a)
         snapshot_b = manager.decision_log(b)
-        more = (
-            _panel_requests(census, a, attribute="education")[3:]
-            + _panel_requests(census, b, attribute="race")[3:]
-        )
-        manager.dispatch(more)
+        _show_all(manager, a, _panels(census, attribute="education")[3:])
+        _show_all(manager, b, _panels(census, attribute="race")[3:])
         assert manager.decision_log(a)[: len(snapshot_a)] == snapshot_a
         assert manager.decision_log(b)[: len(snapshot_b)] == snapshot_b
 
 
 class TestDispatch:
+    """Commands dispatched to the manager through the wire service."""
+
     def test_responses_in_batch_order(self, manager, census):
+        service = ExplorationService(manager, max_sessions=None)
         a = manager.create_session("census")
         b = manager.create_session("census")
-        reqs = []
-        for ra, rb in zip(_panel_requests(census, a), _panel_requests(census, b)):
-            reqs.extend([ra, rb])
-        responses = manager.dispatch(reqs)
-        assert [r.request for r in responses] == reqs
-        assert [r.index for r in responses] == list(range(len(reqs)))
-        assert all(r.ok for r in responses)
+        commands = []
+        for panel in _panels(census):
+            commands += [_show_command(a, *panel), _show_command(b, *panel)]
+        envelope = service.handle_dict({"v": 2, "cmd": "pipeline",
+                                        "commands": commands})
+        slots = envelope["result"]["slots"]
+        assert len(slots) == len(commands)
+        assert all(slot["ok"] for slot in slots)
+        # each session's hypothesis ids count up in its own slots, so
+        # slot i answers command i
+        ids = [slot["result"]["hypothesis"]["id"] for slot in slots]
+        assert ids[0::2] == ids[1::2] == list(range(1, len(ids) // 2 + 1))
 
     def test_same_session_requests_execute_in_order(self, manager, census):
         sid = manager.create_session("census")
-        reqs = _panel_requests(census, sid)
-        manager.dispatch(reqs)
+        _show_all(manager, sid, _panels(census))
         log = manager.decision_log(sid)
         assert [r.seq for r in log] == list(range(len(log)))
         # hypothesis ids grow with submission order within the session
         ids = [r.hypothesis_id for r in log]
         assert ids == sorted(ids)
 
-    def test_serial_and_parallel_dispatch_agree(self, census):
+    def test_serial_and_parallel_dispatch_agree(self):
+        """One thread per session sending through the service (the HTTP
+        server's model) logs exactly what serial sends do."""
         outcomes = []
         for parallel in (False, True):
-            m = SessionManager()
             ds = make_census(2_000, seed=0)
-            m.register_dataset(ds, name="census")
-            sids = [m.create_session("census") for _ in range(4)]
-            reqs = []
-            for sid in sids:
-                reqs.extend(_panel_requests(ds, sid))
-            m.dispatch(reqs, parallel=parallel)
-            outcomes.append([m.decision_log_bytes(sid) for sid in sids])
+            service = ExplorationService(max_sessions=None)
+            service.register_dataset(ds, name="census")
+            sids = [service.manager.create_session("census")
+                    for _ in range(4)]
+
+            def drive(sid):
+                for panel in _panels(ds):
+                    envelope = service.handle_dict(
+                        {"v": 2, **_show_command(sid, *panel)}
+                    )
+                    assert envelope["ok"], envelope
+
+            if parallel:
+                with ThreadPoolExecutor(max_workers=len(sids)) as pool:
+                    for future in [pool.submit(drive, sid) for sid in sids]:
+                        future.result(timeout=60)
+            else:
+                for sid in sids:
+                    drive(sid)
+            outcomes.append(
+                [service.manager.decision_log_bytes(sid) for sid in sids]
+            )
         assert outcomes[0] == outcomes[1]
 
-    def test_bad_request_yields_error_response_not_abort(self, manager, census):
+    def test_bad_request_yields_error_response_not_abort(self, manager):
+        service = ExplorationService(manager, max_sessions=None)
         sid = manager.create_session("census")
-        reqs = [
-            ShowRequest(sid, "sex"),
-            ShowRequest(sid, "no_such_column"),
-            ShowRequest("ghost-session", "sex"),
-            ShowRequest(sid, "education"),
-        ]
-        responses = manager.dispatch(reqs)
-        assert [r.ok for r in responses] == [True, False, False, True]
-        assert "SchemaError" in responses[1].error
-        assert "SessionError" in responses[2].error
-
-    def test_max_workers_zero_forces_serial(self, census):
-        m = SessionManager(max_workers=0)
-        ds = make_census(1_000, seed=0)
-        m.register_dataset(ds, name="census")
-        sids = [m.create_session("census") for _ in range(2)]
-        reqs = [ShowRequest(s, "sex", where=Eq("occupation", c))
-                for s in sids for c in ds.categories("occupation")[:3]]
-        responses = m.dispatch(reqs)
-        assert all(r.ok for r in responses)
-
-    def test_negative_max_workers_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            SessionManager(max_workers=-1)
+        envelope = service.handle_dict({
+            "v": 2, "cmd": "pipeline", "failure_policy": "continue",
+            "commands": [
+                _show_command(sid, "sex"),
+                _show_command(sid, "no_such_column"),
+                _show_command("ghost-session", "sex"),
+                _show_command(sid, "education"),
+            ],
+        })
+        slots = envelope["result"]["slots"]
+        assert [slot["ok"] for slot in slots] == [True, False, False, True]
+        assert slots[1]["error"]["code"] == "SCHEMA"
+        assert slots[2]["error"]["code"] == "SESSION"
 
 
 class TestSharedCache:
@@ -234,7 +259,7 @@ class TestSharedCache:
 class TestLogsAndStats:
     def test_decision_log_bytes_canonical_json(self, manager, census):
         sid = manager.create_session("census")
-        manager.dispatch(_panel_requests(census, sid))
+        _show_all(manager, sid, _panels(census))
         payload = json.loads(manager.decision_log_bytes(sid))
         assert len(payload) == len(manager.decision_log(sid))
         for entry in payload:
@@ -247,7 +272,7 @@ class TestLogsAndStats:
 
     def test_session_and_service_stats(self, manager, census):
         sid = manager.create_session("census")
-        manager.dispatch(_panel_requests(census, sid))
+        _show_all(manager, sid, _panels(census))
         s = manager.session_stats(sid)
         assert s.shows == len(census.categories("occupation"))
         assert s.decisions == len(manager.decision_log(sid))

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.protocol import predicate_to_dict
 from repro.errors import InvalidParameterError
-from repro.service.manager import GestureStep, SessionManager
 from repro.service.sweep import (
     DEFAULT_TRANSPORTS,
     TRANSPORTS,
@@ -17,12 +17,12 @@ from repro.service.sweep import (
     cell_bench_name,
     compile_gestures,
     format_cells,
-    run_gestures_manager,
     run_gestures_pipeline,
     run_gestures_service,
     run_metadata,
     _chunk_gestures,
     _synthetic_streams,
+    _wire_call,
 )
 from repro.workloads.census import make_census
 
@@ -43,14 +43,15 @@ class TestGestureCompilation:
         stream = _synthetic_streams(base, 1, 7, seed=0)[0]
         gestures = compile_gestures(stream)
         assert len(gestures) == 3  # 3 + 3 + 1 shows
-        verbs = [[s.verb for s in g] for g in gestures]
+        verbs = [[c["cmd"] for c in g] for g in gestures]
         assert verbs == [["show", "star", "show", "show"],
                         ["show", "star", "show", "show"],
                         ["show", "star"]]
+        assert all(g[1]["hypothesis_id"] == "$prev" for g in gestures)
         # every show keeps its stream position
-        shown = [(s.attribute, s.where) for g in gestures
-                 for s in g if s.verb == "show"]
-        assert shown == stream
+        shown = [(c["attribute"], c["where"]) for g in gestures
+                 for c in g if c["cmd"] == "show"]
+        assert shown == [(a, predicate_to_dict(w)) for a, w in stream]
 
     def test_chunking_packs_whole_gestures_only(self):
         gestures = compile_gestures([("a", None)] * 30)  # 10 gestures of 4
@@ -63,23 +64,33 @@ class TestGestureCompilation:
         assert [sum(len(g) for g in c) for c in chunks][0] == 8  # 2 gestures
 
     def test_oversized_gesture_rejected(self):
-        gesture = tuple(GestureStep("show", attribute="a") for _ in range(65))
+        gesture = tuple({"cmd": "show", "attribute": "a"} for _ in range(65))
         with pytest.raises(InvalidParameterError):
             _chunk_gestures([gesture], max_commands=64)
 
     def test_envelope_bound_matches_protocol(self):
+        """By default the pipeline runner packs envelopes up to the
+        protocol's command bound, never past it."""
         from repro.api.protocol import MAX_PIPELINE_COMMANDS
-        from repro.service import sweep
 
-        assert sweep._PIPELINE_MAX_COMMANDS == MAX_PIPELINE_COMMANDS
+        sent = []
+
+        def send(envelope):
+            sent.append(len(envelope["commands"]))
+            return {"ok": False}
+
+        gestures = compile_gestures([("a", None)] * 99)  # 33 gestures of 4
+        run_gestures_pipeline(send, "s0001", gestures)
+        assert max(sent) == MAX_PIPELINE_COMMANDS
+        assert sum(sent) == 4 * len(gestures)
 
 
 class TestSweep:
     def test_grid_shape(self, small_cells):
-        # 1 row scale x 2 session counts x 2 workloads x 3 default
+        # 1 row scale x 2 session counts x 2 workloads x 2 default
         # (in-process) transports; router cells are opt-in via
         # workers_grid and boot OS processes.
-        assert len(small_cells) == 12
+        assert len(small_cells) == 8
         assert {(c.sessions, c.workload, c.transport) for c in small_cells} == {
             (s, w, t)
             for s in (1, 3)
@@ -142,6 +153,14 @@ class TestSweep:
         assert [c.transport for c in cells] == ["service", "pipeline"]
         assert cells[1].pipeline_speedup is not None
 
+    def test_workers_grid_implies_router(self):
+        """A fleet-size axis is the router transport's: giving one adds
+        ``router`` to the transports (no cluster boots until run())."""
+        sweep = ScaleSweep(rows_grid=(1_000,), transports=("service",),
+                           workers_grid=(4, 1))
+        assert sweep.transports == ("service", "router")
+        assert sweep.workers_grid == (1, 4)
+
     def test_repeats_pool_samples_but_keep_counts(self):
         base = make_census(1_000, seed=0)
         kwargs = dict(rows_grid=(1_000,), sessions_grid=(2,), steps=6, seed=0)
@@ -173,30 +192,45 @@ class TestSweep:
 
 
 class TestTransportEquivalence:
-    """The sweep's own runners produce byte-identical decision logs."""
+    """The sweep's own runners produce byte-identical decision logs:
+    per-command, pipelined, and pipelined with one thread per session
+    (the sweep's ``parallel`` mode)."""
+
+    MODES = ("service", "pipeline", "threaded")
 
     def _run(self, transport, base, gestures_per_session, **session_kwargs):
+        import functools
+        from concurrent.futures import ThreadPoolExecutor
+
         import numpy as np
 
         from repro.api.service import ExplorationService
 
         ds = base.select_index(np.arange(base.n_rows, dtype=np.intp), name="v")
-        manager = SessionManager()
-        manager.register_dataset(ds, name="cell")
+        service = ExplorationService(max_sessions=None)
+        service.register_dataset(ds, name="cell")
         sids = [
-            manager.create_session("cell", **session_kwargs)
+            service.manager.create_session("cell", **session_kwargs)
             for _ in gestures_per_session
         ]
-        service = ExplorationService(manager=manager, max_sessions=None)
-        measurements = []
-        for sid, gestures in zip(sids, gestures_per_session):
-            if transport == "manager":
-                measurements.append(run_gestures_manager(manager, sid, gestures))
-            elif transport == "service":
-                measurements.append(run_gestures_service(service, sid, gestures))
-            else:
-                measurements.append(run_gestures_pipeline(service, sid, gestures))
-        logs = [manager.decision_log_bytes(sid) for sid in sids]
+        send = functools.partial(_wire_call, service)
+        runner = (run_gestures_service if transport == "service"
+                  else run_gestures_pipeline)
+        measurements = [None] * len(sids)
+
+        def drive(index):
+            measurements[index] = runner(
+                send, sids[index], gestures_per_session[index]
+            )
+
+        if transport == "threaded":
+            with ThreadPoolExecutor(max_workers=len(sids)) as pool:
+                for future in [pool.submit(drive, i) for i in range(len(sids))]:
+                    future.result(timeout=60)
+        else:
+            for index in range(len(sids)):
+                drive(index)
+        logs = [service.manager.decision_log_bytes(sid) for sid in sids]
         return logs, measurements
 
     def test_three_transports_byte_identical_logs(self):
@@ -204,10 +238,10 @@ class TestTransportEquivalence:
         streams = _synthetic_streams(base, 3, 8, seed=1)
         gestures = [compile_gestures(s) for s in streams]
         results = {
-            t: self._run(t, base, gestures) for t in DEFAULT_TRANSPORTS
+            t: self._run(t, base, gestures) for t in self.MODES
         }
         logs = {t: r[0] for t, r in results.items()}
-        assert logs["manager"] == logs["service"] == logs["pipeline"]
+        assert logs["service"] == logs["pipeline"] == logs["threaded"]
 
     def test_equivalence_survives_wealth_exhaustion(self):
         """The error-heavy regime: an exhausting procedure must fail the
@@ -217,16 +251,16 @@ class TestTransportEquivalence:
         gestures = [compile_gestures(s) for s in streams]
         results = {
             t: self._run(t, base, gestures, procedure="gamma-fixed", gamma=3.0)
-            for t in DEFAULT_TRANSPORTS
+            for t in self.MODES
         }
         logs = {t: r[0] for t, r in results.items()}
-        assert logs["manager"] == logs["service"] == logs["pipeline"]
+        assert logs["service"] == logs["pipeline"] == logs["threaded"]
         errors = {
             t: sum(m.errors for per in r[1] for m in per)
             for t, r in results.items()
         }
-        assert errors["manager"] > 0
-        assert errors["manager"] == errors["service"] == errors["pipeline"]
+        assert errors["service"] > 0
+        assert errors["service"] == errors["pipeline"] == errors["threaded"]
 
 
 class TestErrorAccounting:
@@ -279,7 +313,7 @@ class TestLedger:
         payload = json.loads(path.read_text())
         assert payload["suite"] == "scale-sweep"
         assert [r["label"] for r in payload["records"]] == ["t1", "t2"]
-        assert len(payload["records"][0]["cells"]) == 12
+        assert len(payload["records"][0]["cells"]) == 8
         assert len(payload["records"][1]["cells"]) == 1
 
     def test_cells_carry_transport_fields(self, small_cells, tmp_path):
@@ -313,7 +347,7 @@ class TestLedger:
 
 class TestCliEntryPoints:
     def test_run_scale_sweep_script(self, tmp_path):
-        """The acceptance-criteria path, at reduced scale: all three
+        """The acceptance-criteria path, at reduced scale: both default
         transports emit cells and pipeline cells record a speedup."""
         out = tmp_path / "BENCH_scale.json"
         result = subprocess.run(
@@ -346,7 +380,7 @@ class TestCliEntryPoints:
                 sys.executable,
                 str(REPO_ROOT / "benchmarks" / "run_scale_sweep.py"),
                 "--rows", "1000", "--sessions", "1", "--steps", "4",
-                "--transport", "manager", "--output", str(out),
+                "--transport", "service", "--output", str(out),
             ],
             capture_output=True,
             text=True,
@@ -354,13 +388,12 @@ class TestCliEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         cells = json.loads(out.read_text())["records"][0]["cells"]
-        assert {c["transport"] for c in cells} == {"manager"}
+        assert {c["transport"] for c in cells} == {"service"}
 
     def test_cli_transport_choices_match_sweep(self):
-        """The serve-sweep --transport choices are hardcoded (the CLI
-        defers importing the heavy sweep module); pin them to the
-        library's TRANSPORTS so a new transport cannot silently be
-        unreachable from the CLI."""
+        """The serve-sweep --transport choices come from the library's
+        TRANSPORTS, so the CLI can neither hide a transport nor offer
+        one ScaleSweep rejects."""
         import argparse
 
         from repro.cli import build_parser
@@ -383,7 +416,7 @@ class TestCliEntryPoints:
 
         assert main([
             "serve-sweep", "--rows", "1000", "--sessions", "2", "--steps", "4",
-            "--transport", "manager", "service",
+            "--transport", "service", "pipeline",
         ]) == 0
         out = capsys.readouterr().out
         assert "service scale sweep" in out
@@ -397,14 +430,14 @@ class TestCliEntryPoints:
         out = tmp_path / "ledger.json"
         assert main([
             "serve-sweep", "--rows", "1000", "--sessions", "2", "--steps", "4",
-            "--serial", "--label", "cli-test", "--transport", "manager",
+            "--serial", "--label", "cli-test", "--transport", "pipeline",
             "--output", str(out),
         ]) == 0
         capsys.readouterr()
         record = json.loads(out.read_text())["records"][0]
         assert record["parallel"] is False
         assert record["label"] == "cli-test"
-        assert record["transports"] == ["manager"]
+        assert record["transports"] == ["pipeline"]
         assert {"git_sha", "python", "machine", "timestamp", "steps", "seed",
                 "cells"} <= set(record)
 
